@@ -4,15 +4,14 @@ Prediction does not need gradients, yet the autograd forward pays for
 them anyway: closure construction per op, fresh im2col buffers per conv,
 Tensor wrapping everywhere.  This package compiles an eval-mode module
 into a flat plan of pure-ndarray kernel calls (the same arithmetic the
-autograd ops use — see the kernels in :mod:`repro.nn.functional`),
-executed over a shape-keyed :class:`BufferArena` so steady-state serving
+autograd ops use — see the kernels in :mod:`repro.nn.functional`) whose
+buffers are placed in one slab at compile time, so steady-state serving
 allocates nothing.  Float64 plans are bit-exact against
 ``model.forward``; ``dtype="float32"`` (or ``REPRO_INFER_DTYPE``) trades
 ~1e-5 relative agreement for roughly half the memory traffic and BLAS
 time, with BatchNorm weights folded into the convolutions.
 """
 
-from repro.infer.arena import ArenaFrozenError, BufferArena
 from repro.infer.engine import (
     INFER_DTYPE_ENV,
     InferenceEngine,
@@ -22,8 +21,7 @@ from repro.infer.plan import Plan, compile_plan
 from repro.infer.trace import InferenceUnsupportedError, Trace, trace_module
 
 __all__ = [
-    "InferenceEngine", "BufferArena", "Plan",
-    "ArenaFrozenError", "InferenceUnsupportedError",
+    "InferenceEngine", "Plan", "InferenceUnsupportedError",
     "trace_module", "Trace", "compile_plan",
     "resolve_infer_dtype", "INFER_DTYPE_ENV",
 ]

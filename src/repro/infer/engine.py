@@ -1,13 +1,15 @@
-"""Grad-free inference engine: compiled forwards over a buffer arena.
+"""Grad-free inference engine: compiled forwards over one static slab.
 
 :class:`InferenceEngine` turns an eval-mode :class:`~repro.nn.module.Module`
 into shape-specialised kernel plans.  The first forward of a new input
 signature traces the model once (an ordinary autograd forward under
 ``no_grad``), compiles the trace (constant folding, optional BatchNorm
 weight folding, bias+ReLU epilogue fusion, in-place planning, buffer
-liveness) and caches the plan; every following forward of that signature
-replays the plan with buffers from a shape-keyed
-:class:`~repro.infer.arena.BufferArena`, allocating nothing.
+liveness and a static memory plan) and caches the plan; every following
+forward of that signature replays the plan on views into the engine's
+one ``uint8`` slab, allocating nothing.  The slab is sized to the largest
+plan compiled so far and grows only inside :meth:`InferenceEngine.compile`;
+an engine belongs to one worker, so concurrent workers own one each.
 
 Numerics:
 
@@ -31,8 +33,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.infer.arena import BufferArena
-from repro.infer.plan import Plan, compile_plan
+from repro.infer.plan import Plan, compile_plan, new_slab
 from repro.infer.trace import InferenceUnsupportedError, trace_module
 
 __all__ = ["InferenceEngine", "resolve_infer_dtype", "INFER_DTYPE_ENV"]
@@ -58,15 +59,14 @@ class InferenceEngine:
     """Compile-and-replay executor for a fixed-weight model."""
 
     def __init__(self, model, dtype=None, fold_bn: Optional[bool] = None,
-                 fuse: bool = True, arena: Optional[BufferArena] = None,
-                 validate: bool = True):
+                 fuse: bool = True, validate: bool = True):
         self.model = model
         self.dtype = resolve_infer_dtype(dtype)
         self.fold_bn = (bool(fold_bn) if fold_bn is not None
                         else self.dtype == np.dtype("float32"))
         self.fuse = bool(fuse)
         self.validate = bool(validate)
-        self.arena = arena if arena is not None else BufferArena()
+        self.slab = new_slab(0)
         self._plans: Dict[tuple, Plan] = {}
         self._const_cache: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
         self._compiled_version = self._model_version()
@@ -131,6 +131,11 @@ class InferenceEngine:
                               for index in range(len(arrays))}
             plan = compile_plan(trace, self.dtype, self.fold_bn, self.fuse,
                                 self._const, arg_contiguous)
+            if plan.slab_nbytes > self.slab.nbytes:
+                self.slab = new_slab(plan.slab_nbytes)
+                for other in self._plans.values():
+                    other.bind(self.slab)
+            plan.bind(self.slab)
             if self.validate:
                 self._validate_plan(plan, arrays)
             self._plans[signature] = plan
@@ -146,7 +151,7 @@ class InferenceEngine:
         from repro.nn.tensor import Tensor, no_grad
         with no_grad():
             reference = self.model(*[Tensor(p) for p in perturbed]).data
-        replayed = plan.run(perturbed, self.arena)
+        replayed = plan.run(perturbed)
         if self.dtype == reference.dtype and not self.fold_bn:
             ok = np.array_equal(reference, replayed)
         else:
@@ -174,7 +179,7 @@ class InferenceEngine:
         plan = self._plans.get(self._signature(arrays))
         if plan is None:
             plan = self.compile(*arrays)
-        return plan.run(arrays, self.arena)
+        return plan.run(arrays)
 
     # ------------------------------------------------------------------
     def refresh(self) -> None:

@@ -17,18 +17,21 @@
    sequence, so they stay on in the bit-exact default;
 4. **dead-code elimination** and **in-place planning** — single-consumer
    elementwise ops write into their dying input's buffer;
-5. **liveness** — every arena buffer is released at its last use, so the
-   live set tracks the model's activation footprint and a same-shape
-   re-run allocates nothing.
+5. **static memory plan** — every owned buffer (cast argument, step
+   output, per-step scratch) gets a fixed, 64-byte aligned offset in one
+   linear address space, reused once the buffer's last reader has run.
+   The engine backs all its plans with one slab sized to the largest, so
+   a run only indexes pre-bound views and allocates nothing.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import bisect
+import math
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.infer.arena import BufferArena
 from repro.infer.steps import (
     INPLACE_SAFE,
     Step,
@@ -37,7 +40,7 @@ from repro.infer.steps import (
 )
 from repro.infer.trace import InferenceUnsupportedError, Trace, TraceNode
 
-__all__ = ["Plan", "compile_plan"]
+__all__ = ["Plan", "Buffer", "compile_plan", "new_slab"]
 
 _FOLDABLE_PRODUCERS = ("conv2d", "conv_transpose2d", "matmul")
 _AFFINE_OPS = ("add", "sub", "mul", "div")
@@ -47,6 +50,9 @@ _AFFINE_OPS = ("add", "sub", "mul", "div")
 #: refuse compilation), otherwise the first batch's data would be baked
 #: into every later forward
 _META_SENSITIVE = ("embedding", "where", "dropout")
+
+#: slab offsets (and the slab base) are aligned to a cache line
+ALIGN = 64
 
 
 def _bakes_runtime_meta(node: TraceNode) -> bool:
@@ -317,86 +323,138 @@ def _fuse_epilogues(nodes, const_of, dead, ctx, out_ref):
 
 
 # ----------------------------------------------------------------------
+# Static memory plan
+# ----------------------------------------------------------------------
+class Buffer:
+    """One owned buffer's place in the slab and its live interval.
+
+    ``first``/``last`` are step positions: the buffer is written from
+    step ``first`` (-1 for an argument cast) and read up to step ``last``
+    (``len(steps)`` for the plan output, read by the final copy).
+    Buffers whose closed intervals intersect never share slab bytes.
+    """
+
+    __slots__ = ("shape", "dtype", "nbytes", "offset", "first", "last")
+
+    def __init__(self, spec, first: int, last: int):
+        self.shape, self.dtype = tuple(spec[0]), np.dtype(spec[1])
+        self.nbytes = math.prod(self.shape) * self.dtype.itemsize
+        self.offset = 0
+        self.first = first
+        self.last = last
+
+    def view(self, slab: np.ndarray) -> np.ndarray:
+        raw = slab[self.offset:self.offset + self.nbytes]
+        return raw.view(self.dtype).reshape(self.shape)
+
+
+def _aligned(nbytes: int) -> int:
+    return -(-max(nbytes, 1) // ALIGN) * ALIGN
+
+
+class _AddressSpace:
+    """Compile-time allocator over one linear byte range.
+
+    Best fit among the free gaps, ties going to the most recently freed
+    gap (cache-warm: a conv's output lands where its predecessor's
+    scratch just was); with no fitting gap the range grows at the end.
+    """
+
+    def __init__(self):
+        self.gaps: List[List[int]] = []   # [start, size, freed_at], by start
+        self.end = 0
+        self._clock = 0
+
+    def allocate(self, nbytes: int) -> int:
+        size = _aligned(nbytes)
+        fits = [(gap[1], -gap[2], position)
+                for position, gap in enumerate(self.gaps) if gap[1] >= size]
+        if not fits:
+            if self.gaps and sum(self.gaps[-1][:2]) == self.end:
+                self.end = self.gaps.pop()[0]   # grow from a free tail
+            offset, self.end = self.end, self.end + size
+            return offset
+        position = min(fits)[2]
+        offset, gap, freed_at = self.gaps[position]
+        if gap == size:
+            del self.gaps[position]
+        else:
+            self.gaps[position] = [offset + size, gap - size, freed_at]
+        return offset
+
+    def free(self, offset: int, nbytes: int) -> None:
+        self._clock += 1
+        start, end = offset, offset + _aligned(nbytes)
+        position = bisect.bisect(self.gaps, [start])
+        if position < len(self.gaps) and self.gaps[position][0] == end:
+            end += self.gaps.pop(position)[1]
+        if position and sum(self.gaps[position - 1][:2]) == start:
+            position -= 1
+            start = self.gaps.pop(position)[0]
+        self.gaps.insert(position, [start, end - start, self._clock])
+
+
+def new_slab(nbytes: int) -> np.ndarray:
+    """A ``uint8`` slab of ``nbytes`` whose base is ``ALIGN``-aligned."""
+    raw = np.empty(nbytes + ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % ALIGN
+    return raw[start:start + nbytes]
+
+
+# ----------------------------------------------------------------------
 # Plan
 # ----------------------------------------------------------------------
 class Plan:
-    """A compiled forward: ordered kernel steps plus buffer bookkeeping."""
+    """A compiled forward: ordered kernel steps over a static slab layout.
+
+    :meth:`bind` points the steps at a slab of at least ``slab_nbytes``;
+    :meth:`run` replays them on those views and needs a bound plan.
+    """
 
     __slots__ = ("steps", "n_nodes", "n_args", "arg_plan", "out_index",
-                 "out_const", "dtype", "_chunk_sizes")
+                 "out_const", "dtype", "buffers", "slab_nbytes", "_arg_views")
 
     def __init__(self, steps: List[Step], n_nodes: int, n_args: int,
                  arg_plan, out_index: Optional[int],
-                 out_const: Optional[np.ndarray], dtype):
+                 out_const: Optional[np.ndarray], dtype,
+                 buffers: List[Buffer], slab_nbytes: int):
         self.steps = steps
         self.n_nodes = n_nodes
         self.n_args = n_args
-        self.arg_plan = arg_plan      # [(arg position, node idx, cast spec|None)]
+        self.arg_plan = arg_plan      # [(arg position, node idx, Buffer|None)]
         self.out_index = out_index
         self.out_const = out_const
         self.dtype = np.dtype(dtype)
-        # chunk sizes recorded on the first successful run; replayed as
-        # exact-match hints so later runs are deterministic and never
-        # allocate (see BufferArena.acquire)
-        self._chunk_sizes: Optional[List[int]] = None
+        self.buffers = buffers        # every owned buffer, allocation order
+        self.slab_nbytes = slab_nbytes
+        self._arg_views: list = []
 
-    def run(self, args, arena: BufferArena) -> np.ndarray:
+    def bind(self, slab: np.ndarray) -> None:
+        """Point every step's output and scratch at its bytes in ``slab``."""
+        self._arg_views = [None if cast is None else cast.view(slab)
+                           for _, _, cast in self.arg_plan]
+        for step in self.steps:
+            step.out = (None if step.out_buffer is None
+                        else step.out_buffer.view(slab))
+            step.scratch = [buffer.view(slab)
+                            for buffer in step.scratch_buffers]
+
+    def run(self, args) -> np.ndarray:
         if len(args) != self.n_args:
             raise ValueError(
                 f"plan compiled for {self.n_args} inputs, got {len(args)}")
         env: List[Optional[np.ndarray]] = [None] * self.n_nodes
-        held: Dict[int, np.ndarray] = {}
-        scratch: List[np.ndarray] = []
-        hints = self._chunk_sizes
-        recorded: Optional[List[int]] = [] if hints is None else None
-        cursor = 0
-
-        def acquire(spec):
-            nonlocal cursor
-            hint = hints[cursor] if hints is not None else None
-            cursor += 1
-            buffer = arena.acquire(spec[0], spec[1], hint)
-            if recorded is not None:
-                recorded.append(arena.chunk_nbytes(buffer))
-            return buffer
-
-        try:
-            for position, index, cast_spec in self.arg_plan:
-                if cast_spec is None:
-                    env[index] = args[position]
-                else:
-                    buffer = acquire(cast_spec)
-                    np.copyto(buffer, args[position])
-                    env[index] = buffer
-                    held[index] = buffer
-            for step in self.steps:
-                out = None
-                if step.out_spec is not None:
-                    out = acquire(step.out_spec)
-                    held[step.index] = out
-                for spec in step.scratch_specs:
-                    # tracked incrementally so the finally-block can
-                    # release them if the step (or an acquire) raises
-                    scratch.append(acquire(spec))
-                env[step.index] = step.run(env, out, scratch)
-                while scratch:
-                    arena.release(scratch.pop())
-                for index in step.release_after:
-                    buffer = held.pop(index, None)
-                    if buffer is not None:
-                        arena.release(buffer)
-            if self.out_const is not None:
-                result = self.out_const.copy()
+        for (position, index, _), view in zip(self.arg_plan, self._arg_views):
+            if view is None:
+                env[index] = args[position]
             else:
-                result = np.array(env[self.out_index], copy=True)
-            if recorded is not None:
-                self._chunk_sizes = recorded
-            return result
-        finally:
-            while scratch:
-                arena.release(scratch.pop())
-            for buffer in held.values():
-                arena.release(buffer)
+                np.copyto(view, args[position])
+                env[index] = view
+        for step in self.steps:
+            env[step.index] = step.run(env, step.out, step.scratch)
+        if self.out_const is not None:
+            return self.out_const.copy()
+        return np.array(env[self.out_index], copy=True)
 
 
 # ----------------------------------------------------------------------
@@ -498,31 +556,48 @@ def compile_plan(trace: Trace, dtype, fold_bn: bool, fuse: bool,
         if const_of[i] is None:
             node.value = None
 
-    # 6. liveness: release each owned buffer right after its last read
-    out_root = (ctx.roots.get(out_payload) if out_kind == "node" else None)
+    # 6. static memory plan: place each owned buffer when it is written,
+    #    free it after its last read (scratch: after its own step)
     last_use: Dict[int, int] = {}
     for position, step in enumerate(steps):
         for read in step._reads:
             root = ctx.roots.get(read)
             if root is not None:
                 last_use[root] = position
-    owner_specs: Dict[int, tuple] = {}
-    for _, index, spec in arg_plan:
-        if spec is not None:
-            owner_specs[index] = spec
-    for step in steps:
-        if step.out_spec is not None:
-            owner_specs[step.index] = step.out_spec
-    position_of = {step.index: position for position, step in enumerate(steps)}
-    for root, spec in owner_specs.items():
-        if root == out_root:
-            continue  # the output buffer is copied out at the end of run()
-        position = last_use.get(root, position_of.get(root, 0))
-        steps[position].release_after.append(root)
-    for step in steps:
         del step._reads
+    out_root = ctx.roots.get(out_payload) if out_kind == "node" else None
+    if out_root is not None:
+        last_use[out_root] = len(steps)   # read by the final copy
+
+    space = _AddressSpace()
+    buffers: List[Buffer] = []
+    frees: Dict[int, List[Buffer]] = {}
+
+    def place(spec, first: int, last: int) -> Buffer:
+        buffer = Buffer(spec, first, last)
+        buffer.offset = space.allocate(buffer.nbytes)
+        buffers.append(buffer)
+        frees.setdefault(last, []).append(buffer)
+        return buffer
+
+    def release(position: int) -> None:
+        for buffer in frees.pop(position, []):
+            space.free(buffer.offset, buffer.nbytes)
+
+    for entry, (position, index, spec) in enumerate(arg_plan):
+        if spec is not None:
+            arg_plan[entry] = (position, index,
+                               place(spec, -1, last_use.get(index, -1)))
+    release(-1)
+    for position, step in enumerate(steps):
+        if step.out_spec is not None:
+            step.out_buffer = place(step.out_spec, position,
+                                    last_use.get(step.index, position))
+        step.scratch_buffers = [place(spec, position, position)
+                                for spec in step.scratch_specs]
+        release(position)
 
     out_index = out_payload if out_kind == "node" else None
     out_const = out_payload if out_kind == "const" else None
     return Plan(steps, len(nodes), trace.n_args, arg_plan, out_index,
-                out_const, plan_dtype)
+                out_const, plan_dtype, buffers, space.end)

@@ -2,15 +2,15 @@
 
 Each traced op is lowered to a :class:`Step` — a closure over constant
 operands and op parameters that reads its inputs from the runtime value
-environment and writes into arena-provided buffers.  Builders reproduce
-the autograd ops' arithmetic exactly (same ufunc sequences, same matmul
-operands), which is what keeps float64 plans bit-exact against
-``model.forward``; the only opt-in deviation is BatchNorm weight folding
-(see :mod:`repro.infer.plan`).
+environment and writes into slab views placed by the planner at compile
+time.  Builders reproduce the autograd ops' arithmetic exactly (same
+ufunc sequences, same matmul operands), which is what keeps float64
+plans bit-exact against ``model.forward``; the only opt-in deviation is
+BatchNorm weight folding (see :mod:`repro.infer.plan`).
 
 Output kinds:
 
-* ``buffer`` — the step owns an arena buffer (``out_spec``);
+* ``buffer`` — the step owns a slab buffer (``out_spec``);
 * ``view``   — the step returns a numpy view of its input (reshape /
   transpose), sharing the input's buffer;
 * ``alias``  — the step runs in place on its (dying) input's buffer.
@@ -32,7 +32,8 @@ class Step:
     """One executable plan step."""
 
     __slots__ = ("index", "out_spec", "scratch_specs", "run", "kind",
-                 "source", "release_after", "_reads")
+                 "source", "out_buffer", "scratch_buffers", "out", "scratch",
+                 "_reads")
 
     def __init__(self, index: int, out_spec, scratch_specs: list,
                  run: Callable, kind: str = "buffer",
@@ -43,8 +44,11 @@ class Step:
         self.run = run                    # run(env, out, scratch) -> ndarray
         self.kind = kind                  # "buffer" | "view" | "alias"
         self.source = source              # env index sharing our buffer
-        self.release_after: list = []     # env indices of buffers whose
-        #                                   last use is this step (planner)
+        # placement (planner) and the slab views bound from it (Plan.bind)
+        self.out_buffer = None
+        self.scratch_buffers: list = []
+        self.out: Optional[np.ndarray] = None
+        self.scratch: List[np.ndarray] = []
 
 
 def _val(src, env):

@@ -3,8 +3,8 @@
 This package substitutes for PyTorch in the LMM-IR reproduction (see
 DESIGN.md).  It provides reverse-mode autodiff (:mod:`repro.nn.tensor`,
 :mod:`repro.nn.functional`), module containers, the layers and attention
-blocks the paper's architecture needs, losses, optimisers, LR schedules
-and checkpointing.
+blocks the paper's architecture needs, losses, optimisers and
+checkpointing.
 """
 
 from repro.nn import functional
@@ -35,13 +35,6 @@ from repro.nn.layers import (
 from repro.nn.losses import BCEWithLogitsLoss, HuberLoss, L1Loss, MSELoss, masked_mse
 from repro.nn.module import Module, ModuleList, Sequential
 from repro.nn.optim import SGD, Adam, AdamW, Optimizer, clip_grad_norm
-from repro.nn.schedulers import (
-    CosineAnnealingLR,
-    ExponentialLR,
-    LRScheduler,
-    StepLR,
-    WarmupCosine,
-)
 from repro.nn.serialization import load_module, load_state, save_module, save_state
 from repro.nn.tensor import Parameter, Tensor, as_tensor, is_grad_enabled, no_grad
 from repro.nn import init
@@ -58,7 +51,6 @@ __all__ = [
     "AttentionGate", "sinusoidal_positions",
     "MSELoss", "L1Loss", "HuberLoss", "BCEWithLogitsLoss", "masked_mse",
     "Optimizer", "SGD", "Adam", "AdamW", "clip_grad_norm",
-    "LRScheduler", "StepLR", "ExponentialLR", "CosineAnnealingLR", "WarmupCosine",
     "save_module", "load_module", "save_state", "load_state",
     "check_gradients", "numerical_gradient",
 ]

@@ -21,6 +21,7 @@ Two extra surfaces exist for the grad-free inference engine
 
 from __future__ import annotations
 
+import contextvars
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -47,7 +48,9 @@ Axis = Union[None, int, Tuple[int, ...]]
 # ----------------------------------------------------------------------
 # Graph-building helpers
 # ----------------------------------------------------------------------
-_TRACE_HOOK = None
+#: per-thread (per-context) op-trace hook: one worker tracing a model
+#: must never see another thread's ops
+_TRACE_HOOK = contextvars.ContextVar("repro_trace_hook", default=None)
 
 
 def set_trace_hook(hook):
@@ -56,21 +59,22 @@ def set_trace_hook(hook):
     While a hook is installed every op reports
     ``hook(op_name, out_tensor, parent_tensors, meta)`` instead of
     recording autograd state; the inference engine uses this to compile
-    a module's forward into a flat kernel plan.  Returns the previously
-    installed hook so callers can restore it.
+    a module's forward into a flat kernel plan.  The hook is local to the
+    calling thread.  Returns the previously installed hook so callers can
+    restore it.
     """
-    global _TRACE_HOOK
-    previous = _TRACE_HOOK
-    _TRACE_HOOK = hook
+    previous = _TRACE_HOOK.get()
+    _TRACE_HOOK.set(hook)
     return previous
 
 
 def _make(data: np.ndarray, parents: Tuple[Tensor, ...], backward_fn,
           op: Optional[str] = None, meta: Optional[dict] = None) -> Tensor:
     """Create an output tensor, recording the graph only when needed."""
-    if _TRACE_HOOK is not None:
+    hook = _TRACE_HOOK.get()
+    if hook is not None:
         out = Tensor(data)
-        _TRACE_HOOK(op, out, parents, meta or {})
+        hook(op, out, parents, meta or {})
         return out
     if is_grad_enabled() and any(p.requires_grad for p in parents):
         return Tensor(data, requires_grad=True, _parents=parents, _backward_fn=backward_fn)
@@ -573,7 +577,8 @@ def _im2col_into(x: np.ndarray, kh: int, kw: int, stride: int,
     """:func:`_im2col` writing into a preallocated (n, c·kh·kw, oh·ow) buffer.
 
     Produces exactly the layout (and therefore the exact matmul result)
-    of :func:`_im2col`; used by the inference engine's buffer arena.
+    of :func:`_im2col`; used by the inference engine's conv steps, which
+    write into slab views placed at compile time.
     """
     n, c, h, w = x.shape
     oh = (h - kh) // stride + 1

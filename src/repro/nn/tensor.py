@@ -14,6 +14,7 @@ wrappers.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -22,24 +23,24 @@ __all__ = ["Tensor", "Parameter", "no_grad", "is_grad_enabled", "as_tensor"]
 
 DEFAULT_DTYPE = np.float64
 
-_GRAD_ENABLED = True
+#: per-thread (per-context) grad mode: a ``no_grad`` in one serving
+#: thread must not switch graph recording off for the others
+_GRAD_ENABLED = contextvars.ContextVar("repro_grad_enabled", default=True)
 
 
 @contextlib.contextmanager
 def no_grad():
     """Context manager disabling graph construction (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    token = _GRAD_ENABLED.set(False)
     try:
         yield
     finally:
-        _GRAD_ENABLED = previous
+        _GRAD_ENABLED.reset(token)
 
 
 def is_grad_enabled() -> bool:
     """Return whether operations currently record gradient information."""
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
 ArrayLike = Union[np.ndarray, float, int, Sequence]

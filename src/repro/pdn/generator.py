@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.pdn.grid import Blockage, GridConfig, build_grid, layer_nodes
@@ -283,15 +282,7 @@ def prune_unreachable(netlist: Netlist) -> int:
     Aggressive blockages can strand grid islands; stranded nodes make the
     conductance matrix singular, so they are removed before solving.
     """
-    graph = nx.Graph()
-    for r in netlist.resistors:
-        graph.add_edge(r.node_a, r.node_b)
-    reachable = set()
-    for source in netlist.voltage_sources:
-        if source.node in graph:
-            reachable |= nx.node_connected_component(graph, source.node)
-    all_nodes = set(graph.nodes)
-    floating = all_nodes - reachable
+    floating = set(netlist.unsupplied_nodes())
     if not floating:
         return 0
     netlist.resistors = [r for r in netlist.resistors

@@ -13,7 +13,7 @@ The layers, bottom to top:
   NaN / Inf / shape / physical range) plus the sampled online audit
   against the golden solver;
 * :mod:`repro.serve.worker` — thread/process worker pools, each worker
-  owning a private predictor (engine plans, buffer arena, prep cache),
+  owning a private predictor (engine plans and slab, prep cache),
   with heartbeats and a hung-worker watchdog;
 * :mod:`repro.serve.service` — micro-batching scheduler + façade;
 * :mod:`repro.serve.registry` — content-addressed checkpoint registry

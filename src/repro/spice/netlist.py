@@ -10,6 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
+
 from repro.spice.elements import CurrentSource, Resistor, VoltageSource
 from repro.spice.nodes import GROUND, DBU_PER_UM, NodeName, parse_node
 
@@ -101,6 +105,24 @@ class Netlist:
 
     def layers(self) -> Tuple[int, ...]:
         return tuple(sorted({node.layer for node in self.parsed_nodes()}))
+
+    def unsupplied_nodes(self) -> List[str]:
+        """Resistor-connected nodes with no resistive path to any voltage
+        source node, in first-seen order.  Ground, when resistors touch
+        it, is an ordinary node of the resistor graph here."""
+        index: Dict[str, int] = {}
+        ends = np.array([(index.setdefault(r.node_a, len(index)),
+                          index.setdefault(r.node_b, len(index)))
+                         for r in self.resistors], dtype=np.int64)
+        if not index:
+            return []
+        graph = coo_matrix((np.ones(len(ends)), (ends[:, 0], ends[:, 1])),
+                           shape=(len(index), len(index)))
+        _, labels = connected_components(graph, directed=False)
+        supplied = labels[[index[v.node] for v in self.voltage_sources
+                           if v.node in index]]
+        floating = ~np.isin(labels, supplied)
+        return [name for name, flag in zip(index, floating) if flag]
 
     def supply_voltage(self) -> float:
         """Nominal VDD; requires at least one voltage source."""

@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List
 
-import networkx as nx
-
 from repro.spice.netlist import Netlist
 from repro.spice.nodes import GROUND, parse_node
 
@@ -99,15 +97,7 @@ def _check_sources_on_resistive_nodes(netlist: Netlist, report: ValidationReport
 
 
 def _check_connectivity(netlist: Netlist, report: ValidationReport) -> None:
-    graph = nx.Graph()
-    for r in netlist.resistors:
-        graph.add_edge(r.node_a, r.node_b)
-    supplied = {v.node for v in netlist.voltage_sources}
-    reachable = set()
-    for node in supplied:
-        if node in graph:
-            reachable |= nx.node_connected_component(graph, node)
-    floating = [n for n in graph.nodes if n not in reachable and n != GROUND]
+    floating = [n for n in netlist.unsupplied_nodes() if n != GROUND]
     if floating:
         sample = ", ".join(sorted(floating)[:5])
         report.errors.append(

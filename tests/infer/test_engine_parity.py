@@ -274,29 +274,31 @@ class TestFailureModes:
 
     @pytest.mark.parametrize("fail_after", [1, 5, 20])
     def test_buffers_released_when_a_run_fails_mid_plan(self, fail_after):
-        """Mid-plan failures must not leak held or scratch buffers out of
-        the arena (the zero-allocation steady state would quietly erode)."""
-        from repro.infer import ArenaFrozenError, BufferArena
-
-        class FailingArena(BufferArena):
-            def __init__(self, fail_after):
-                super().__init__()
-                self.calls = 0
-                self.fail_after = fail_after
-
-            def acquire(self, shape, dtype, nbytes_hint=None):
-                self.calls += 1
-                if self.calls > self.fail_after:
-                    raise ArenaFrozenError("injected failure")
-                return super().acquire(shape, dtype, nbytes_hint)
-
+        """A step that raises half-way through holds no buffer afterwards:
+        every buffer is a fixed view of the one slab, the slab is neither
+        grown nor replaced, and it carries no state into the next run,
+        which is bit-identical to autograd."""
         spec, model = _build("IREDGe")
         args = _inputs(spec)
-        arena = FailingArena(fail_after)
-        engine = InferenceEngine(model, arena=arena)
-        with pytest.raises(ArenaFrozenError):
+        engine = InferenceEngine(model)
+        plan = engine.compile(*args)
+        slab, nbytes = engine.slab, engine.slab.nbytes
+        step = plan.steps[fail_after]
+        original = step.run
+
+        def failing(env, out, scratch):
+            original(env, out, scratch)   # write, then fail
+            raise RuntimeError("injected step failure")
+
+        step.run = failing
+        with pytest.raises(RuntimeError, match="injected"):
             engine.run(*args)
-        assert arena.live == 0
+        step.run = original
+        assert engine.slab is slab and slab.nbytes == nbytes
+        fresh = _inputs(spec, seed=7)
+        assert np.array_equal(engine.run(*fresh), _autograd(model, fresh))
+        assert np.array_equal(engine.run(*args), _autograd(model, args))
+        assert engine.slab is slab
 
     def test_training_mode_rejected(self):
         _, model = _build("IREDGe")

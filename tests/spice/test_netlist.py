@@ -77,3 +77,17 @@ def test_cache_invalidated_on_mutation():
     before = net.num_nodes
     net.add_resistor("n1_m4_1000_0", "n1_m4_9000_0", 2.0)
     assert net.num_nodes == before + 1
+
+
+def test_unsupplied_nodes_follow_resistive_paths():
+    net = Netlist()
+    net.add_resistor("a", "b", 1.0)
+    net.add_voltage_source("a", 1.0)
+    net.add_resistor("c", "d", 1.0)          # island
+    net.add_resistor("e", "0", 1.0)          # e and f meet only at ground
+    net.add_resistor("f", "0", 1.0)
+    net.add_current_source("g", 0.1)         # no resistor: not in the graph
+    assert net.unsupplied_nodes() == ["c", "d", "e", "0", "f"]
+    net.add_resistor("0", "b", 1.0)          # ground now reaches the supply
+    assert net.unsupplied_nodes() == ["c", "d"]
+    assert Netlist().unsupplied_nodes() == []

@@ -70,3 +70,13 @@ def test_raise_if_failed_raises():
     report = validate_netlist(Netlist())
     with pytest.raises(ValueError):
         report.raise_if_failed()
+
+
+def test_unreachable_nodes_reported_without_ground():
+    net = valid_netlist()
+    net.add_resistor("n1_m1_50000_0", "0", 1.0)
+    net.add_resistor("n1_m1_51000_0", "0", 1.0)
+    report = validate_netlist(net)
+    assert report.errors == [
+        "2 node(s) have no resistive path to any supply "
+        "(e.g. n1_m1_50000_0, n1_m1_51000_0)"]
