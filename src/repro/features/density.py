@@ -15,9 +15,8 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import ndimage
 
-from repro.features.maps import map_shape_for
+from repro.features.maps import map_shape_for, scatter_add
 from repro.spice.netlist import Netlist
-from repro.spice.nodes import parse_node
 
 __all__ = ["pdn_density_map"]
 
@@ -42,16 +41,10 @@ def pdn_density_map(
     if window_px % 2 == 0:
         window_px += 1
     shape = shape or map_shape_for(netlist)
-    rows, cols = shape
-
-    counts = np.zeros(shape)
-    for name in netlist.node_index():
-        node = parse_node(name)
-        if node is None:
-            continue
-        row = min(int(round(node.y_um)), rows - 1)
-        col = min(int(round(node.x_um)), cols - 1)
-        counts[row, col] += 1.0
+    geometry = netlist.geometry()
+    nodes = np.arange(netlist.num_nodes)
+    geometry.require_grid(nodes)
+    counts = scatter_add(geometry.flat_pixels(nodes, shape), None, shape)
 
     density = ndimage.uniform_filter(counts, size=window_px, mode="nearest")
     if not as_spacing:

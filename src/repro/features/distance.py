@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.features.maps import map_shape_for
 from repro.spice.netlist import Netlist
-from repro.spice.nodes import parse_node
+from repro.spice.nodes import DBU_PER_UM
 
 __all__ = ["effective_distance_map", "pad_positions_px"]
 
@@ -27,14 +27,14 @@ _MIN_DISTANCE_PX = 0.5
 
 def pad_positions_px(netlist: Netlist) -> np.ndarray:
     """(row, col) float positions of all voltage sources."""
-    positions = []
-    for source in netlist.voltage_sources:
-        node = parse_node(source.node)
-        if node is not None:
-            positions.append((node.y_um, node.x_um))
-    if not positions:
+    geometry = netlist.geometry()
+    nodes = geometry.voltage_nodes
+    geometry.require_grid(nodes)
+    nodes = nodes[nodes >= 0]
+    if not nodes.size:
         raise ValueError("netlist has no voltage sources for a distance map")
-    return np.array(positions)
+    return np.stack([geometry.y[nodes] / DBU_PER_UM,
+                     geometry.x[nodes] / DBU_PER_UM], axis=1)
 
 
 def effective_distance_map(

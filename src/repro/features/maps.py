@@ -12,7 +12,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.spice.netlist import Netlist
-from repro.spice.nodes import parse_node
 
 __all__ = [
     "map_shape_for",
@@ -28,13 +27,15 @@ def map_shape_for(netlist: Netlist) -> Tuple[int, int]:
     return netlist.statistics().shape_pixels
 
 
-def _pixel_of(name: str, shape: Tuple[int, int]) -> Optional[Tuple[int, int]]:
-    node = parse_node(name)
-    if node is None:
-        return None
-    rows, cols = shape
-    return (min(int(round(node.y_um)), rows - 1),
-            min(int(round(node.x_um)), cols - 1))
+def scatter_add(flat: np.ndarray, weights: Optional[np.ndarray],
+                shape: Tuple[int, int]) -> np.ndarray:
+    """Sum ``weights`` (or 1.0 each) into raveled pixels ``flat``.
+
+    ``bincount`` adds in input order, so the raster is bit-identical to
+    a ``raster[pixel] += value`` loop over the same sequence.
+    """
+    counts = np.bincount(flat, weights=weights, minlength=shape[0] * shape[1])
+    return counts.astype(float, copy=False).reshape(shape)
 
 
 def current_map(netlist: Netlist, shape: Optional[Tuple[int, int]] = None,
@@ -65,55 +66,66 @@ def current_source_map(netlist: Netlist,
                        shape: Optional[Tuple[int, int]] = None) -> np.ndarray:
     """Paper extra feature: lumped tap currents at their exact positions."""
     shape = shape or map_shape_for(netlist)
-    raster = np.zeros(shape)
-    for source in netlist.current_sources:
-        pixel = _pixel_of(source.node, shape)
-        if pixel is not None:
-            raster[pixel] += source.value
-    return raster
+    geometry = netlist.geometry()
+    nodes = geometry.current_nodes
+    geometry.require_grid(nodes)
+    keep = nodes >= 0
+    values = np.fromiter((s.value for s in netlist.current_sources),
+                         dtype=float, count=len(nodes))
+    return scatter_add(geometry.flat_pixels(nodes[keep], shape), values[keep],
+                       shape)
 
 
 def voltage_source_map(netlist: Netlist,
                        shape: Optional[Tuple[int, int]] = None) -> np.ndarray:
     """Paper extra feature: supply voltage scattered at pad positions."""
     shape = shape or map_shape_for(netlist)
+    geometry = netlist.geometry()
+    nodes = geometry.voltage_nodes
+    geometry.require_grid(nodes)
+    keep = nodes >= 0
+    values = np.fromiter((s.value for s in netlist.voltage_sources),
+                         dtype=float, count=len(nodes))
     raster = np.zeros(shape)
-    for source in netlist.voltage_sources:
-        pixel = _pixel_of(source.node, shape)
-        if pixel is not None:
-            raster[pixel] = max(raster[pixel], source.value)
+    np.maximum.at(raster.reshape(-1), geometry.flat_pixels(nodes[keep], shape),
+                  values[keep])
     return raster
 
 
 def resistance_map(netlist: Netlist,
                    shape: Optional[Tuple[int, int]] = None) -> np.ndarray:
     """Paper extra feature: each resistor's value distributed over the
-    grid cells its segment overlaps (vias land on a single pixel)."""
+    grid cells its segment overlaps (vias land on a single pixel).
+
+    A segment within one pixel (a via) puts its whole value there; an
+    axis-aligned PDN wire spreads it uniformly over the ``n`` pixels it
+    spans; a non-axis-aligned (foreign) resistor puts half on each end
+    pixel.  Every case is ``n`` entries of ``R / n`` stepping from the
+    first pixel, accumulated in resistor order.
+    """
     shape = shape or map_shape_for(netlist)
-    raster = np.zeros(shape)
-    rows, cols = shape
-    for resistor in netlist.resistors:
-        a = parse_node(resistor.node_a)
-        b = parse_node(resistor.node_b)
-        if a is None or b is None:
-            continue
-        r0 = min(int(round(a.y_um)), rows - 1)
-        c0 = min(int(round(a.x_um)), cols - 1)
-        r1 = min(int(round(b.y_um)), rows - 1)
-        c1 = min(int(round(b.x_um)), cols - 1)
-        if r0 == r1 and c0 == c1:
-            raster[r0, c0] += resistor.resistance  # via (or sub-pixel segment)
-            continue
-        # PDN wire segments are axis-aligned; spread uniformly along them
-        length = abs(r1 - r0) + abs(c1 - c0) + 1
-        share = resistor.resistance / length
-        if r0 == r1:
-            lo, hi = sorted((c0, c1))
-            raster[r0, lo:hi + 1] += share
-        elif c0 == c1:
-            lo, hi = sorted((r0, r1))
-            raster[lo:hi + 1, c0] += share
-        else:  # non-axis-aligned (foreign netlist): endpoints only
-            raster[r0, c0] += resistor.resistance / 2
-            raster[r1, c1] += resistor.resistance / 2
-    return raster
+    geometry = netlist.geometry()
+    ends = geometry.resistor_ends
+    geometry.require_grid(ends.ravel())
+    keep = (ends >= 0).all(axis=1)
+    r0, c0 = geometry.pixels(ends[keep, 0], shape)
+    r1, c1 = geometry.pixels(ends[keep, 1], shape)
+    resistance = np.fromiter((r.resistance for r in netlist.resistors),
+                             dtype=float, count=len(ends))[keep]
+
+    same_row, same_col = r0 == r1, c0 == c1
+    aligned = same_row | same_col
+    # axis-aligned: walk from the low end, one pixel a step (a via takes
+    # no step); otherwise the two end pixels, first then second
+    start_r = np.where(aligned, np.minimum(r0, r1), r0)
+    start_c = np.where(aligned, np.minimum(c0, c1), c0)
+    step_r = np.where(aligned, (~same_row).astype(np.intp), r1 - r0)
+    step_c = np.where(aligned, (~same_col).astype(np.intp), c1 - c0)
+    count = np.where(aligned, np.abs(r1 - r0) + np.abs(c1 - c0) + 1, 2)
+
+    owner = np.repeat(np.arange(len(count)), count)
+    offset = np.arange(len(owner)) - np.repeat(np.cumsum(count) - count, count)
+    rows = start_r[owner] + offset * step_r[owner]
+    cols = start_c[owner] + offset * step_c[owner]
+    return scatter_add(rows * shape[1] + cols, (resistance / count)[owner],
+                       shape)

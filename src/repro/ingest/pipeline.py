@@ -209,8 +209,9 @@ def ingest_text(text: str, name: str = "deck", mode: str = "tolerant",
         # the node bounding box understates a die whose PDN does not
         # reach the edges; a caller who knows the true raster (contest
         # bundles, round trips) passes it explicitly
+        geometry = netlist.geometry()
         shape = (raster_shape if raster_shape is not None
-                 else netlist.statistics().shape_pixels)
+                 else geometry.shape_pixels())
         if shape[0] * shape[1] > raster_limit_px:
             rasterizable = False
             _degrade(report, log, "ingest.pipeline", "raster", "solve-only",
@@ -220,7 +221,7 @@ def ingest_text(text: str, name: str = "deck", mode: str = "tolerant",
             start = time.perf_counter()
             try:
                 fault_point("ingest.rasterize")
-                layer = min(netlist.layers())
+                layer = int(geometry.layer.min())
                 feature_maps = compute_feature_maps(netlist, shape)
                 golden = rasterize_ir_map(netlist, solve, shape, layer=layer,
                                           smooth_sigma=smooth_sigma)

@@ -291,5 +291,4 @@ def prune_unreachable(netlist: Netlist) -> int:
                                if i.node not in floating]
     netlist.voltage_sources = [v for v in netlist.voltage_sources
                                if v.node not in floating]
-    netlist._node_cache = None
     return len(floating)

@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.spice.netlist import Netlist
-from repro.spice.nodes import parse_node
+from repro.spice.nodes import DBU_PER_UM
 
 __all__ = ["POINT_FEATURES", "PointCloud", "encode_netlist"]
 
@@ -77,10 +77,17 @@ def encode_netlist(netlist: Netlist,
             raise ValueError(f"die size must be positive, got {die_size_um}")
     max_layer = max(netlist.layers()) if netlist.num_nodes else 1
 
-    total = (len(netlist.resistors) + len(netlist.current_sources)
-             + len(netlist.voltage_sources))
-    points = np.zeros((total, POINT_FEATURES))
-    row = 0
+    # layers() has already refused foreign names: every endpoint below
+    # is a grid node or ground (-1)
+    geometry = netlist.geometry()
+    wired = (geometry.resistor_ends >= 0).all(axis=1)
+    tapped = geometry.current_nodes >= 0
+    padded = geometry.voltage_nodes >= 0
+    a, b = geometry.resistor_ends[wired].T
+    taps = geometry.current_nodes[tapped]
+    pads = geometry.voltage_nodes[padded]
+    x_um, y_um = geometry.x / DBU_PER_UM, geometry.y / DBU_PER_UM
+    layer = geometry.layer
 
     resistances = np.array([r.resistance for r in netlist.resistors])
     log_r = np.log1p(resistances) if resistances.size else resistances
@@ -90,47 +97,37 @@ def encode_netlist(netlist: Netlist,
     i_mean = float(currents.mean()) if currents.size else 0.0
     i_std = max(float(currents.std()), 1e-12) if currents.size else 1.0
 
+    voltages = np.array([v.value for v in netlist.voltage_sources])
     vdd = netlist.voltage_sources[0].value if netlist.voltage_sources else 1.0
 
-    for index, resistor in enumerate(netlist.resistors):
-        a, b = parse_node(resistor.node_a), parse_node(resistor.node_b)
-        if a is None or b is None:
-            continue
-        points[row, _COL_X1] = a.x_um / width
-        points[row, _COL_Y1] = a.y_um / height
-        points[row, _COL_X2] = b.x_um / width
-        points[row, _COL_Y2] = b.y_um / height
-        points[row, _COL_VALUE] = log_r[index] / r_scale
-        points[row, _COL_TYPE_R] = 1.0
-        points[row, _COL_LAYER1] = a.layer / max_layer
-        points[row, _COL_LAYER2] = b.layer / max_layer
-        points[row, _COL_IS_VIA] = 1.0 if a.layer != b.layer else 0.0
-        row += 1
+    # one block per element kind, rows in element order; elements with
+    # a ground endpoint carry no position and are left out
+    points = np.zeros((len(a) + len(taps) + len(pads), POINT_FEATURES))
+    r_rows, i_rows, v_rows = np.split(points, [len(a), len(a) + len(taps)])
+    r_rows[:, _COL_X1] = x_um[a] / width
+    r_rows[:, _COL_Y1] = y_um[a] / height
+    r_rows[:, _COL_X2] = x_um[b] / width
+    r_rows[:, _COL_Y2] = y_um[b] / height
+    r_rows[:, _COL_VALUE] = log_r[wired] / r_scale
+    r_rows[:, _COL_TYPE_R] = 1.0
+    r_rows[:, _COL_LAYER1] = layer[a] / max_layer
+    r_rows[:, _COL_LAYER2] = layer[b] / max_layer
+    r_rows[:, _COL_IS_VIA] = layer[a] != layer[b]
 
-    for source in netlist.current_sources:
-        node = parse_node(source.node)
-        if node is None:
-            continue
-        points[row, _COL_X1] = node.x_um / width
-        points[row, _COL_Y1] = node.y_um / height
-        points[row, _COL_VALUE] = (source.value - i_mean) / i_std
-        points[row, _COL_TYPE_I] = 1.0
-        points[row, _COL_LAYER1] = node.layer / max_layer
-        row += 1
+    i_rows[:, _COL_X1] = x_um[taps] / width
+    i_rows[:, _COL_Y1] = y_um[taps] / height
+    i_rows[:, _COL_VALUE] = (currents[tapped] - i_mean) / i_std
+    i_rows[:, _COL_TYPE_I] = 1.0
+    i_rows[:, _COL_LAYER1] = layer[taps] / max_layer
 
-    for source in netlist.voltage_sources:
-        node = parse_node(source.node)
-        if node is None:
-            continue
-        points[row, _COL_X1] = node.x_um / width
-        points[row, _COL_Y1] = node.y_um / height
-        points[row, _COL_VALUE] = source.value / vdd
-        points[row, _COL_TYPE_V] = 1.0
-        points[row, _COL_LAYER1] = node.layer / max_layer
-        row += 1
+    v_rows[:, _COL_X1] = x_um[pads] / width
+    v_rows[:, _COL_Y1] = y_um[pads] / height
+    v_rows[:, _COL_VALUE] = voltages[padded] / vdd
+    v_rows[:, _COL_TYPE_V] = 1.0
+    v_rows[:, _COL_LAYER1] = layer[pads] / max_layer
 
     return PointCloud(
-        points=points[:row],
+        points=points,
         die_width_um=width,
         die_height_um=height,
         max_layer=max_layer,

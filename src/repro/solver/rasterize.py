@@ -13,22 +13,21 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import ndimage
 
+from repro.features.maps import scatter_add
 from repro.solver.static import IRSolveResult
 from repro.spice.netlist import Netlist
-from repro.spice.nodes import parse_node
 
 __all__ = ["rasterize_ir_map", "node_positions_px"]
 
 
 def node_positions_px(netlist: Netlist, layer: Optional[int] = None) -> np.ndarray:
     """Integer (row, col) pixel positions of nodes (optionally one layer)."""
-    positions = []
-    for name in netlist.node_index():
-        node = parse_node(name)
-        if node is None or (layer is not None and node.layer != layer):
-            continue
-        positions.append((int(round(node.y_um)), int(round(node.x_um))))
-    return np.array(positions, dtype=int) if positions else np.empty((0, 2), dtype=int)
+    geometry = netlist.geometry()
+    nodes = np.arange(netlist.num_nodes)
+    geometry.require_grid(nodes)
+    if layer is not None:
+        nodes = nodes[geometry.layer == layer]
+    return np.stack(geometry.pixels(nodes), axis=1).astype(int)
 
 
 def rasterize_ir_map(
@@ -54,19 +53,23 @@ def rasterize_ir_map(
     if shape is None:
         stats = netlist.statistics()
         shape = stats.shape_pixels
-    rows, cols = shape
 
-    drops = result.ir_drop()
-    accumulator = np.zeros(shape)
-    counts = np.zeros(shape)
-    for name, drop in drops.items():
-        node = parse_node(name)
-        if node is None or node.layer != layer:
-            continue
-        row = min(int(round(node.y_um)), rows - 1)
-        col = min(int(round(node.x_um)), cols - 1)
-        accumulator[row, col] += drop
-        counts[row, col] += 1.0
+    # in the result's own node order, so each pixel sums its drops in
+    # the same sequence as a per-node loop would; a name outside the
+    # netlist (ground) has no pixel
+    voltages = result.node_voltages
+    index = netlist.node_index()
+    nodes = np.fromiter((index.get(name, -1) for name in voltages),
+                        dtype=np.intp, count=len(voltages))
+    drops = result.vdd - np.fromiter(voltages.values(), dtype=float,
+                                     count=len(voltages))
+    geometry = netlist.geometry()
+    geometry.require_grid(nodes)
+    drops, nodes = drops[nodes >= 0], nodes[nodes >= 0]
+    on_layer = geometry.layer[nodes] == layer
+    flat = geometry.flat_pixels(nodes[on_layer], shape)
+    accumulator = scatter_add(flat, drops[on_layer], shape)
+    counts = scatter_add(flat, None, shape)
 
     filled = counts > 0
     if not filled.any():

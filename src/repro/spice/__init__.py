@@ -5,7 +5,7 @@ node naming (:mod:`~repro.spice.nodes`), parsing/writing and validation.
 """
 
 from repro.spice.elements import CurrentSource, Resistor, VoltageSource
-from repro.spice.netlist import Netlist, NetlistStatistics
+from repro.spice.netlist import Netlist, NetlistGeometry, NetlistStatistics
 from repro.spice.nodes import (
     DBU_PER_UM, GROUND, NodeName, format_node, parse_node, try_parse_node,
 )
@@ -17,7 +17,7 @@ from repro.spice.writer import write_spice, write_spice_file
 
 __all__ = [
     "Resistor", "CurrentSource", "VoltageSource",
-    "Netlist", "NetlistStatistics",
+    "Netlist", "NetlistGeometry", "NetlistStatistics",
     "NodeName", "GROUND", "DBU_PER_UM", "parse_node", "try_parse_node",
     "format_node",
     "parse_spice", "parse_spice_file", "parse_value", "SpiceParseError",

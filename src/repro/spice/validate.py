@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from typing import List
 
 from repro.spice.netlist import Netlist
-from repro.spice.nodes import GROUND, parse_node
+from repro.spice.nodes import GROUND
 
 __all__ = ["ValidationReport", "validate_netlist"]
 
@@ -72,11 +72,10 @@ def _check_unique_names(netlist: Netlist, report: ValidationReport) -> None:
 
 
 def _check_node_names(netlist: Netlist, report: ValidationReport) -> None:
-    for name in netlist.node_index():
-        try:
-            parse_node(name)
-        except ValueError:
-            report.errors.append(f"malformed node name {name!r}")
+    grid = netlist.geometry().grid
+    report.errors.extend(f"malformed node name {name!r}"
+                         for name, ok in zip(netlist.node_index(), grid)
+                         if not ok)
 
 
 def _check_sources_on_resistive_nodes(netlist: Netlist, report: ValidationReport) -> None:
